@@ -14,6 +14,7 @@ Public surface:
 from .balls import (
     ball,
     ball_sizes,
+    balls_for,
     bfs_distances,
     connected_components,
     distances_to_set,
@@ -48,7 +49,6 @@ from .properties import (
 from .shared import SharedNetwork, SharedNetworkPack, cleanup_orphans
 from .smallworld import (
     SmallWorldNetwork,
-    ball_chunk,
     build_small_world,
     lattice_parameter,
 )
@@ -58,7 +58,6 @@ __all__ = [
     "AppliedDelta",
     "HGraph",
     "ResidentGraph",
-    "ball_chunk",
     "generate_hgraph",
     "hgraph_from_cycles",
     "SmallWorldNetwork",
@@ -75,6 +74,7 @@ __all__ = [
     "ltl_mask",
     "ball",
     "ball_sizes",
+    "balls_for",
     "bfs_distances",
     "sphere",
     "eccentricity",

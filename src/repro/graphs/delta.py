@@ -2,7 +2,7 @@
 
 The continuous estimation service (:mod:`repro.service`) keeps overlays
 alive across epochs.  Re-sampling ``G = H ∪ L`` from scratch on every
-membership change costs a full per-node BFS sweep
+membership change costs a ``k``-ball search from every node
 (:func:`repro.graphs.smallworld.build_small_world`); a churn delta only
 touches a handful of nodes, so :class:`ResidentGraph` patches the resident
 structures incrementally instead:
@@ -18,14 +18,15 @@ structures incrementally instead:
   moves are independent — no chained swaps), and a delta with ``l``
   leavers relabels at most ``l`` nodes.
 * ``L`` lives as per-node adjacency chunks (``B_H(v, k) \\ {v}`` with
-  distances, the unit :func:`repro.graphs.smallworld.ball_chunk`
-  produces).  After patching ``H``, only the chunks the delta could have
-  touched are recomputed.  ``B(v, k)`` changes only if some path of
-  length ``<= k`` from ``v`` uses a changed edge; following that path
-  from ``v``, the prefix up to the *first* changed edge uses only
-  unchanged edges — so it is a valid path in both the old and the new
-  graph — and ends at an endpoint of a changed edge, at distance
-  ``<= k-1``.  Hence the recompute set is the radius-``(k-1)`` ball
+  distances: one source's row of :func:`repro.graphs.balls.balls_for`,
+  the kernel a cold build runs over every node).  After patching ``H``,
+  only the chunks the delta could have touched are recomputed, in one
+  ``balls_for`` call over the recompute set.  ``B(v, k)`` changes only
+  if some path of length ``<= k`` from ``v`` uses a changed edge;
+  following that path from ``v``, the prefix up to the *first* changed
+  edge uses only unchanged edges — so it is a valid path in both the old
+  and the new graph — and ends at an endpoint of a changed edge, at
+  distance ``<= k-1``.  Hence the recompute set is the radius-``(k-1)`` ball
   around changed-edge endpoints: leavers (old graph — every edge of a
   leaver is removed) plus splice points, join anchors, and joiners (new
   graph).  Chunks outside that set can still *mention* relabeled ids;
@@ -52,8 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._types import Int8Array, Int64Array, IntArray
+from .balls import balls_for
 from .hgraph import hgraph_from_cycles
-from .smallworld import SmallWorldNetwork, ball_chunk, build_small_world
+from .smallworld import SmallWorldNetwork, build_small_world
 
 __all__ = ["AppliedDelta", "ResidentGraph"]
 
@@ -342,9 +344,18 @@ class ResidentGraph:
                 self._chunks[v] = (nodes[reorder], dists[reorder])
 
         # 7. Recompute exactly the touched chunks against the patched H.
+        # The stale chunks go first and each new one is an owned copy (a
+        # slice would pin the whole result), keeping the patch's peak
+        # memory near one recompute set.
         indptr, indices = self._h_csr()
-        for v in sorted(affected):
-            self._chunks[v] = ball_chunk(indptr, indices, v, k)
+        sources = np.array(sorted(affected), dtype=np.int64)
+        stale = (np.empty(0, np.int64), np.empty(0, np.int8))
+        for v in affected:
+            self._chunks[v] = stale
+        counts, nodes, dists = balls_for(indptr, indices, sources, k)
+        ends = np.cumsum(counts).tolist()
+        for v, start, end in zip(sources.tolist(), [0, *ends], ends):
+            self._chunks[v] = (nodes[start:end].copy(), dists[start:end].copy())
 
         self.version += 1
         self._snapshot = None

@@ -25,12 +25,11 @@ from typing import Any
 import numpy as np
 
 from .._types import Int64Array, Int8Array, IntArray, SeedLike
-from .balls import bfs_distances, gather_neighbors
+from .balls import balls_for, bfs_distances, gather_neighbors
 from .hgraph import HGraph, generate_hgraph
 
 __all__ = [
     "SmallWorldNetwork",
-    "ball_chunk",
     "build_small_world",
     "lattice_parameter",
 ]
@@ -114,18 +113,36 @@ class SmallWorldNetwork:
             raise ValueError("lattice radius k must be >= 1")
         if self.g_indptr[-1] != self.g_indices.shape[0]:
             raise ValueError("G CSR indptr/indices mismatch")
-        # Symmetry and distance-tagging spot checks on a node sample.
-        sample = np.linspace(0, self.n - 1, num=min(self.n, 16), dtype=np.int64)
-        for v in sample:
-            nbrs = self.g_neighbors(int(v))
-            dists = self.g_neighbor_dists(int(v))
-            if np.any(nbrs == v):
-                raise ValueError("self-loop in G adjacency")
-            if np.any((dists < 1) | (dists > self.k)):
-                raise ValueError("G neighbor distance outside [1, k]")
-            for u in nbrs:
-                if not self.is_g_edge(int(u), int(v)):
-                    raise ValueError("G adjacency is not symmetric")
+        # Symmetry and distance-tagging spot checks on a node sample,
+        # reporting the first failing check of the first failing node.
+        n = self.n
+        sample = np.linspace(0, n - 1, num=min(n, 16), dtype=np.int64)
+        deg = self.g_indptr[sample + 1] - self.g_indptr[sample]
+        owner = np.repeat(np.arange(sample.size), deg)
+        rows = sample[owner]
+        nbrs = gather_neighbors(self.g_indptr, self.g_indices, sample)
+        dists = gather_neighbors(self.g_indptr, self.g_dist, sample)
+        # Symmetry: look each sampled node up in its neighbor's sorted row,
+        # bisecting all sampled slots at once in O(slots) memory.
+        lo = self.g_indptr[nbrs]
+        end = self.g_indptr[nbrs + 1]
+        hi = end.copy()
+        last = self.g_indices.size - 1
+        while (live := lo < hi).any():
+            mid = (lo + hi) // 2
+            right = live & (self.g_indices[np.minimum(mid, last)] < rows)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        found = lo < end
+        found[found] = self.g_indices[lo[found]] == rows[found]
+        checks = (
+            (nbrs == rows, "self-loop in G adjacency"),
+            ((dists < 1) | (dists > self.k), "G neighbor distance outside [1, k]"),
+            (~found, "G adjacency is not symmetric"),
+        )
+        failed = [(int(owner[bad][0]), i) for i, (bad, _) in enumerate(checks) if bad.any()]
+        if failed:
+            raise ValueError(checks[min(failed)[1]][1])
 
 
 def build_small_world(
@@ -148,62 +165,12 @@ def build_small_world(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    # BFS from every node to depth k collects B_H(v, k) \ {v}; those are
-    # exactly v's G-neighbors.  Balls are tiny (< (d-1)^(k+1)), so we gather
-    # per node but keep the per-node work vectorized.
-    nbr_chunks: list[Int64Array] = []
-    dist_chunks: list[Int8Array] = []
-    counts = np.empty(h.n, dtype=np.int64)
-    for v in range(h.n):
-        nodes, dists = ball_chunk(h.indptr, h.indices, v, k)
-        counts[v] = nodes.shape[0]
-        nbr_chunks.append(nodes)
-        dist_chunks.append(dists)
+    # B_H(v, k) \ {v} are exactly v's G-neighbors, ids ascending.
+    counts, g_indices, g_dist = balls_for(h.indptr, h.indices, np.arange(h.n), k)
     g_indptr = np.zeros(h.n + 1, dtype=np.int64)
     np.cumsum(counts, out=g_indptr[1:])
-    g_indices = np.concatenate(nbr_chunks) if nbr_chunks else np.empty(0, np.int64)
-    g_dist = np.concatenate(dist_chunks) if dist_chunks else np.empty(0, np.int8)
     net = SmallWorldNetwork(
         h=h, k=k, g_indptr=g_indptr, g_indices=g_indices, g_dist=g_dist
     )
     net.validate()
     return net
-
-
-def ball_chunk(
-    indptr: IntArray, indices: IntArray, v: int, k: int
-) -> tuple[Int64Array, Int8Array]:
-    """One node's ``G``-adjacency chunk: ``B_H(v, k) \\ {v}`` with distances.
-
-    Returns ``(neighbors, dists)`` — the sorted node ids within ``H``
-    distance ``<= k`` of ``v`` (excluding ``v``) and their exact
-    distances.  This is the per-node unit :func:`build_small_world`
-    concatenates into the ``G`` CSR; the incremental churn layer
-    (:class:`repro.graphs.delta.ResidentGraph`) recomputes exactly these
-    chunks for nodes whose ``k``-ball a join/leave delta touched, which is
-    why the two paths stay bit-for-bit identical.  The chunk depends only
-    on the ball's membership and distances (ids come out sorted), never on
-    BFS visit order.
-    """
-    dist = _local_ball_distances(indptr, indices, v, k)
-    nodes = np.array(sorted(dist.keys()), dtype=np.int64)
-    nodes = nodes[nodes != v]
-    dists = np.array([dist[int(u)] for u in nodes], dtype=np.int8)
-    return nodes, dists
-
-
-def _local_ball_distances(
-    indptr: IntArray, indices: IntArray, v: int, k: int
-) -> dict[int, int]:
-    """Exact ``dist_H`` for every node in ``B_H(v, k)`` via local BFS."""
-    dist: dict[int, int] = {v: 0}
-    frontier = np.array([v], dtype=np.int64)
-    for depth in range(1, k + 1):
-        nbrs = gather_neighbors(indptr, indices, frontier)
-        fresh = [int(u) for u in np.unique(nbrs) if int(u) not in dist]
-        if not fresh:
-            break
-        for u in fresh:
-            dist[u] = depth
-        frontier = np.array(fresh, dtype=np.int64)
-    return dist

@@ -83,3 +83,59 @@ class TestSmallWorldProperty:
         g = net_small.to_networkx()
         assert g.number_of_nodes() == net_small.n
         assert g.number_of_edges() == net_small.g_indices.shape[0] // 2
+
+
+class TestValidate:
+    """The three spot checks on the 16-node sample, one corruption each."""
+
+    @staticmethod
+    def corrupt(net, **arrays):
+        from dataclasses import replace
+
+        return replace(net, **arrays)
+
+    def test_clean_network_passes(self, net_small):
+        net_small.validate()
+
+    def test_self_loop(self, net_small):
+        indices = net_small.g_indices.copy()
+        indices[net_small.g_indptr[0]] = 0  # node 0 is in the sample
+        with pytest.raises(ValueError, match="self-loop in G adjacency"):
+            self.corrupt(net_small, g_indices=indices).validate()
+
+    @pytest.mark.parametrize("bad", [0, 4, -1])
+    def test_distance_outside_range(self, net_small, bad):
+        dist = net_small.g_dist.copy()
+        dist[net_small.g_indptr[net_small.n - 1]] = bad  # last node is sampled
+        with pytest.raises(ValueError, match=r"G neighbor distance outside \[1, k\]"):
+            self.corrupt(net_small, g_dist=dist).validate()
+
+    def test_asymmetric_adjacency(self, net_small):
+        # Drop 0 from the row of 0's first neighbor u: the edge (0, u)
+        # stays, its reverse is gone, and every row stays sorted.
+        u = int(net_small.g_neighbors(0)[0])
+        row = net_small.g_indptr[u]
+        slot = row + int(np.searchsorted(net_small.g_neighbors(u), 0))
+        assert net_small.g_indices[slot] == 0
+        indptr = net_small.g_indptr.copy()
+        indptr[u + 1 :] -= 1
+        net = self.corrupt(
+            net_small,
+            g_indptr=indptr,
+            g_indices=np.delete(net_small.g_indices, slot),
+            g_dist=np.delete(net_small.g_dist, slot),
+        )
+        with pytest.raises(ValueError, match="G adjacency is not symmetric"):
+            net.validate()
+
+    def test_first_failing_node_decides_the_message(self, net_small):
+        # Node 0 has a bad distance, a later sampled node a self-loop: the
+        # checks run node by node, so node 0's failure is reported.
+        dist = net_small.g_dist.copy()
+        dist[net_small.g_indptr[0]] = 0
+        indices = net_small.g_indices.copy()
+        last = net_small.n - 1
+        indices[net_small.g_indptr[last]] = last
+        net = self.corrupt(net_small, g_indices=indices, g_dist=dist)
+        with pytest.raises(ValueError, match="distance outside"):
+            net.validate()
